@@ -45,7 +45,7 @@
 //
 // Graphs are mutable: POST a batch of edge/vertex insertions and
 // deletions and the daemon repairs a maintained coloring incrementally
-// (a localized JP-ADG-style pass over the conflict frontier; see
+// (a localized JP pass under ADG priorities over the conflict frontier; see
 // internal/dynamic):
 //
 //	curl -s -X POST localhost:8712/v1/graphs/kron12/mutate \

@@ -13,6 +13,8 @@ import (
 type Source interface {
 	// NumVertices returns the current vertex count.
 	NumVertices() int
+	// Degree returns the length of v's neighbor list.
+	Degree(v uint32) int
 	// AppendNeighbors appends the sorted, duplicate-free neighbor list
 	// of v to buf and returns it.
 	AppendNeighbors(buf []uint32, v uint32) []uint32

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/verify"
+	"repro/internal/xrand"
 )
 
 // TestConflictFrontierAllOneColor is the adversarial worst case: every
@@ -92,7 +93,7 @@ func TestRepairColorsOverCSR(t *testing.T) {
 	for _, v := range dirty {
 		inDirty[v] = true
 	}
-	repaired, rounds := RepairColors(g, colors, dirty, Options{Procs: 2, Seed: 9}, 1)
+	repaired, rounds := RepairColors(g, colors, dirty, newSlot(n), Options{Procs: 2, Seed: 9}, 1)
 	if err := verify.CheckProper(g, colors); err != nil {
 		t.Fatalf("repair left an improper coloring: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestRepairColorsDeterministicAcrossProcs(t *testing.T) {
 			colors[v] = uint32(v%2) + 1
 		}
 		dirty := ConflictFrontier(g, colors, p)
-		RepairColors(g, colors, dirty, Options{Procs: p, Seed: 5}, 7)
+		RepairColors(g, colors, dirty, newSlot(n), Options{Procs: p, Seed: 5}, 7)
 		return colors
 	}
 	base := run(1)
@@ -142,5 +143,101 @@ func TestGraphSatisfiesSource(t *testing.T) {
 	buf = g.AppendNeighbors(buf, 0)
 	if want := []uint32{0, 2, 1}; !reflect.DeepEqual(buf, want) {
 		t.Fatalf("AppendNeighbors append = %v, want %v", buf, want)
+	}
+}
+
+// newSlot returns a RepairColors slot index for n vertices (all -1).
+func newSlot(n int) []int32 {
+	slot := make([]int32, n)
+	for v := range slot {
+		slot[v] = -1
+	}
+	return slot
+}
+
+// TestRepairColorsIdenticalAcrossProcsAndSources: one repair over a
+// mutated Overlay and over its materialized CSR snapshot gives
+// byte-identical colors at p ∈ {1, 2, 8}, and the shared slot index is
+// all -1 again after every call.
+func TestRepairColorsIdenticalAcrossProcsAndSources(t *testing.T) {
+	base := mustGraph(t)(gen.Kronecker(9, 8, 4, 0))
+	ov := NewOverlay(base)
+	n := base.NumVertices()
+	rng := xrand.New(17)
+	var b Batch
+	for i := 0; i < 300; i++ {
+		e := graph.Edge{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
+		if i%3 == 0 {
+			b.DelEdges = append(b.DelEdges, e)
+		} else {
+			b.AddEdges = append(b.AddEdges, e)
+		}
+	}
+	if _, err := ov.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ov.Snapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make([]uint32, n)
+	for v := range start {
+		start[v] = uint32(v%3) + 1 // improper on purpose
+	}
+	dirty := ConflictFrontier(snap, start, 1)
+	if len(dirty) == 0 {
+		t.Fatal("test needs a non-empty dirty set")
+	}
+	slot := newSlot(n)
+	var want []uint32
+	for _, src := range []Source{ov, snap} {
+		for _, p := range []int{1, 2, 8} {
+			colors := append([]uint32(nil), start...)
+			RepairColors(src, colors, dirty, slot, Options{Procs: p, Seed: 3}, 5)
+			for v, s := range slot {
+				if s != -1 {
+					t.Fatalf("%T p=%d: slot[%d] = %d after the call, want -1", src, p, v, s)
+				}
+			}
+			if err := verify.CheckProper(snap, colors); err != nil {
+				t.Fatalf("%T p=%d: %v", src, p, err)
+			}
+			if want == nil {
+				want = colors
+			} else if !reflect.DeepEqual(colors, want) {
+				t.Fatalf("%T p=%d: colors differ from the Overlay p=1 repair", src, p)
+			}
+		}
+	}
+}
+
+// TestRepairColorsSeedBreaksTies: the subgraph's ADG ties are broken by
+// a permutation seeded with Seed+salt, so on a regular graph (where
+// every vertex ties) a different salt gives a different repair DAG —
+// and a shallow one: a row-order tie-break would chain the whole dirty
+// path into one JP round per vertex.
+func TestRepairColorsSeedBreaksTies(t *testing.T) {
+	g := mustGraph(t)(gen.Path(2000, 1))
+	n := g.NumVertices()
+	dirty := make([]uint32, n)
+	for v := range dirty {
+		dirty[v] = uint32(v)
+	}
+	slot := newSlot(n)
+	repair := func(salt uint64) ([]uint32, int) {
+		colors := make([]uint32, n)
+		_, rounds := RepairColors(g, colors, dirty, slot, Options{Procs: 2, Seed: 1}, salt)
+		if err := verify.CheckProper(g, colors); err != nil {
+			t.Fatal(err)
+		}
+		return colors, rounds
+	}
+	c1, r1 := repair(1)
+	c2, _ := repair(2)
+	if reflect.DeepEqual(c1, c2) {
+		t.Fatal("salts 1 and 2 gave the same repair: the seed breaks no ties")
+	}
+	if r1 > 100 {
+		t.Fatalf("repair of a %d-vertex path took %d JP rounds, want a shallow DAG", n, r1)
 	}
 }

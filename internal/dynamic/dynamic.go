@@ -3,12 +3,12 @@
 // deletions over an immutable graph.Graph, and a Colored maintains a
 // proper coloring across those batches by incremental repair — the
 // conflict frontier a batch creates is detected in parallel and
-// recolored with a localized Jones–Plassmann pass over JP-ADG-style
-// priorities that touches only the dirty vertices and reads only their
-// distance-1 neighborhoods (see repair.go). When the dirty region grows
-// past a threshold the repair falls back to a full JP-ADG recolor, so
-// the incremental path never does more work than recomputing from
-// scratch.
+// recolored with a localized Jones–Plassmann pass over ADG priorities
+// (Algorithm 1, seeded ties) that touches only the dirty vertices and
+// reads only their distance-1 neighborhoods (see repair.go). When the
+// dirty region grows past a threshold the repair falls back to a full
+// JP-ADG recolor, so the incremental path never does more work than
+// recomputing from scratch.
 //
 // The paper's guarantees (Besta et al., SC 2020) are stated for static
 // graphs; the repair primitive here follows the iterative-recoloring

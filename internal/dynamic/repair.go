@@ -78,6 +78,9 @@ type Colored struct {
 	ov     *Overlay
 	opts   Options
 	colors []uint32
+	// slot is RepairColors' dense dirty index (-1 = not dirty), kept
+	// across Applies and grown with the overlay.
+	slot []int32
 
 	numColors    int
 	repairs      int
@@ -165,7 +168,7 @@ func (c *Colored) fullColor(g *graph.Graph) ([]uint32, int) {
 // deletions, so the only possible violations are the batch's inserted
 // monochromatic edges (plus new vertices, which start uncolored). Those
 // endpoints form the dirty frontier; the localized pass recolors
-// exactly that set under JP-ADG-style priorities computed on its
+// exactly that set under ADG (Algorithm 1) priorities computed on its
 // induced subgraph, reading (never writing) the distance-1 fixed
 // neighborhood. Each dirty vertex receives the smallest color unused by
 // any current neighbor, so no new conflict can appear and the repaired
@@ -249,14 +252,21 @@ func (c *Colored) fallbackRecolor(res *Result) error {
 // repairLocal recolors exactly res.Dirty over the overlay; see
 // RepairColors for the engine itself.
 func (c *Colored) repairLocal(res *Result) {
-	repaired, rounds := RepairColors(c.ov, c.colors, res.Dirty, c.opts, c.ov.Version())
+	for len(c.slot) < c.ov.NumVertices() {
+		c.slot = append(c.slot, -1)
+	}
+	repaired, rounds := RepairColors(c.ov, c.colors, res.Dirty, c.slot, c.opts, c.ov.Version())
 	res.Repaired = repaired
 	res.Rounds = rounds
 }
 
 // RepairColors recolors exactly dirty in place: JP over the
-// dirty-induced subgraph under a fresh ADG ordering of that subgraph,
-// with the fixed distance-1 neighborhood contributing forbidden colors.
+// dirty-induced subgraph under the paper's Algorithm 1 ADG ordering of
+// that subgraph (the removal round is the rank, and a random
+// permutation ρ_R seeded with opts.Seed+salt breaks ties inside a
+// round), with the fixed distance-1 neighborhood contributing
+// forbidden colors. The seeded ties keep the subgraph's JP DAG
+// shallow; ADG-O's vertex-ID ties would chain along rows of a grid.
 // Writes stay inside the dirty set; reads stay inside its distance-1
 // closure, so a proper coloring of the non-dirty region stays proper
 // and every dirty vertex ends properly colored (each receives the
@@ -264,49 +274,55 @@ func (c *Colored) repairLocal(res *Result) {
 // vertices sequenced by the priority DAG).
 //
 // src is any adjacency source — the mutable Overlay on the mutation
-// path, a plain CSR graph on the static speculate-and-repair path. The
-// ADG seed is mixed with salt so successive repairs draw fresh
-// tie-breaks while staying a deterministic function of (opts.Seed,
-// salt, dirty, colors): the result is bit-identical at any worker
-// count. It returns how many colors actually changed and the localized
-// JP pass's round count.
-func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, salt uint64) (repaired, rounds int) {
+// path, a plain CSR graph on the static speculate-and-repair path.
+// dirty must be sorted ascending and duplicate-free. slot is a dense
+// index owned by the caller, with len(slot) >= src.NumVertices() and
+// every entry -1 ("not dirty"); the call maps each dirty vertex to its
+// local index there and restores every touched entry to -1 before it
+// returns, so one slot array serves any number of calls.
+//
+// The result is a deterministic function of (opts.Seed, salt, dirty,
+// colors): it is bit-identical at any worker count. It returns how
+// many colors actually changed and the localized JP pass's round
+// count.
+func RepairColors(src Source, colors, dirty []uint32, slot []int32, opts Options, salt uint64) (repaired, rounds int) {
 	opts = opts.withDefaults()
 	p := opts.Procs
 	nd := len(dirty)
-	idx := make(map[uint32]int32, nd)
+	vol := 0
 	for i, v := range dirty {
-		idx[v] = int32(i)
+		slot[v] = int32(i)
+		vol += src.Degree(v)
 	}
 
-	// Gather each dirty vertex's merged neighborhood once (the whole
-	// distance-1 read budget) and the induced local edge list.
-	adj := make([][]uint32, nd)
-	var localEdges []graph.Edge
+	// Gather every dirty vertex's merged neighborhood once into one
+	// arena (the whole distance-1 read budget) and, in the same pass,
+	// the induced subgraph as CSR. Local indices follow the sorted
+	// dirty order, so each local row comes out sorted.
+	arena := make([]uint32, 0, vol)
+	subAdj := make([]uint32, 0, vol)
+	nbrOff := make([]int64, nd+1)
+	subOff := make([]int64, nd+1)
 	maxDeg := 0
 	for i, v := range dirty {
-		adj[i] = src.AppendNeighbors(nil, v)
-		if len(adj[i]) > maxDeg {
-			maxDeg = len(adj[i])
-		}
-		for _, u := range adj[i] {
-			if j, ok := idx[u]; ok && int32(i) < j {
-				localEdges = append(localEdges, graph.Edge{U: uint32(i), V: uint32(j)})
+		lo := len(arena)
+		arena = src.AppendNeighbors(arena, v)
+		for _, u := range arena[lo:] {
+			if j := slot[u]; j >= 0 {
+				subAdj = append(subAdj, uint32(j))
 			}
 		}
+		maxDeg = max(maxDeg, len(arena)-lo)
+		nbrOff[i+1] = int64(len(arena))
+		subOff[i+1] = int64(len(subAdj))
 	}
-	// The induced subgraph is tiny (bounded by the batch or conflict
-	// set); FromEdges cannot fail here — ids are local indices by
-	// construction.
-	sub, err := graph.FromEdges(nd, localEdges, p)
+	sub, err := graph.FromCSR(subOff, subAdj)
 	if err != nil {
-		panic(fmt.Sprintf("dynamic: induced subgraph: %v", err))
+		panic(fmt.Sprintf("dynamic: induced subgraph (dirty set must be sorted and duplicate-free): %v", err))
 	}
-	// JP-ADG-style priorities on the dirty region.
-	ord := order.ADG(sub, order.ADGOptions{
-		Epsilon: opts.Epsilon, Procs: p, Seed: opts.Seed + salt, Sorted: true,
-	})
-	keys := ord.Keys
+	keys := order.ADG(sub, order.ADGOptions{
+		Epsilon: opts.Epsilon, Procs: p, Seed: opts.Seed + salt,
+	}).Keys
 	counts := order.PredCounts(sub, keys, p)
 	frontier := par.Pack(p, nd, func(i int) bool { return counts[i] == 0 })
 
@@ -329,12 +345,12 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 			st := states[w]
 			for fi := lo; fi < hi; fi++ {
 				i := fr[fi]
-				ns := adj[i]
+				ns := arena[nbrOff[i]:nbrOff[i+1]]
 				deg := len(ns)
 				st.epoch++
 				for _, u := range ns {
 					var cu uint32
-					if j, ok := idx[u]; ok {
+					if j := slot[u]; j >= 0 {
 						cu = newCol[j] // 0 until that dirty vertex is colored
 					} else {
 						cu = colors[u] // fixed distance-1 neighbor
@@ -349,11 +365,9 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 				}
 				newCol[i] = nc
 				ki := keys[i]
-				for _, u := range ns {
-					if j, ok := idx[u]; ok && keys[j] < ki {
-						if par.Join(&counts[j]) {
-							st.next = append(st.next, uint32(j))
-						}
+				for _, j := range sub.Neighbors(i) {
+					if keys[j] < ki && par.Join(&counts[j]) {
+						st.next = append(st.next, j)
 					}
 				}
 			}
@@ -373,6 +387,7 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 	}
 
 	for i, v := range dirty {
+		slot[v] = -1
 		if colors[v] != newCol[i] {
 			colors[v] = newCol[i]
 			repaired++

@@ -106,16 +106,20 @@ func BarabasiAlbert(n, k int, seed uint64, p int) (*graph.Graph, error) {
 			targets = append(targets, uint32(u), uint32(v))
 		}
 	}
-	chosen := make(map[uint32]bool, k)
+	// chosen keeps v's k distinct targets in draw order, so the edge
+	// list — and through targets every later draw — is a pure function
+	// of the seed. pickedBy[t] == v marks t as already drawn for v.
+	chosen := make([]uint32, 0, k)
+	pickedBy := make([]uint32, n)
 	for v := k + 1; v < n; v++ {
-		for id := range chosen {
-			delete(chosen, id)
-		}
+		chosen = chosen[:0]
 		for len(chosen) < k {
-			t := targets[r.Intn(len(targets))]
-			chosen[t] = true
+			if t := targets[r.Intn(len(targets))]; pickedBy[t] != uint32(v) {
+				pickedBy[t] = uint32(v)
+				chosen = append(chosen, t)
+			}
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			edges = append(edges, graph.Edge{U: uint32(v), V: t})
 			targets = append(targets, uint32(v), t)
 		}

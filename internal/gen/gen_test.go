@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -298,4 +299,19 @@ func TestWattsStrogatzValidation(t *testing.T) {
 		t.Fatalf("m=%d want 6 (K4)", g.NumEdges())
 	}
 	validate(t)(WattsStrogatz(0, 0, 0, 1, 1))
+}
+
+// TestBarabasiAlbertDeterministic: the same (n, k, seed) builds the
+// same CSR on every call and at every worker count, so nodes that
+// bootstrap a ba graph from its spec agree on it.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	base := validate(t)(BarabasiAlbert(3000, 6, 5, 1))
+	for _, p := range []int{1, 2, 8} {
+		for rep := 0; rep < 3; rep++ {
+			g := validate(t)(BarabasiAlbert(3000, 6, 5, p))
+			if !slices.Equal(g.Offsets(), base.Offsets()) || !slices.Equal(g.Adjacency(), base.Adjacency()) {
+				t.Fatalf("p=%d build %d: CSR differs from the first build", p, rep)
+			}
+		}
+	}
 }

@@ -7,10 +7,10 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/par"
-	"repro/internal/sortutil"
 )
 
 // Edge is an undirected edge between vertices U and V.
@@ -178,7 +178,10 @@ func (g *Graph) Edges() []Edge {
 // FromEdges builds a simple undirected graph over n vertices from an edge
 // list. Self-loops are dropped; duplicate and reversed duplicates collapse
 // to a single undirected edge. Edges with endpoints >= n cause an error.
-// Building runs in O(m) time (radix sort) with p workers.
+// Building counts each vertex's arcs, scatters them straight into the CSR
+// adjacency array, then sorts and deduplicates every row with p workers
+// (edge-balanced), so the only scratch beyond the output is one cursor
+// per vertex.
 func FromEdges(n int, edges []Edge, p int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -188,36 +191,50 @@ func FromEdges(n int, edges []Edge, p int) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.U, e.V, n)
 		}
 	}
-	// Encode both arc directions as u<<32|v, drop self-loops.
-	arcs := make([]uint64, 0, 2*len(edges))
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		arcs = append(arcs, uint64(e.U)<<32|uint64(e.V))
-		arcs = append(arcs, uint64(e.V)<<32|uint64(e.U))
-	}
-	sortutil.ParallelRadixSortUint64(p, arcs)
-	// Dedup in place.
-	w := 0
-	for i, a := range arcs {
-		if i == 0 || a != arcs[i-1] {
-			arcs[w] = a
-			w++
-		}
-	}
-	arcs = arcs[:w]
-	// Count degrees, prefix-sum into offsets, scatter.
-	counts := make([]int32, n)
-	for _, a := range arcs {
-		counts[a>>32]++
-	}
+	// Count both arc directions, drop self-loops, prefix-sum into offsets.
 	offsets := make([]int64, n+1)
-	par.PrefixSumInt32(p, counts, offsets)
-	adj := make([]uint32, len(arcs))
-	par.For(p, len(arcs), func(i int) {
-		adj[i] = uint32(arcs[i]) // low 32 bits = target; arcs sorted by (src,dst)
+	for _, e := range edges {
+		if e.U != e.V {
+			offsets[int(e.U)+1]++
+			offsets[int(e.V)+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	// Scatter each arc to its source's row.
+	adj := make([]uint32, offsets[n])
+	next := make([]int64, n)
+	copy(next, offsets[:n])
+	for _, e := range edges {
+		if e.U != e.V {
+			adj[next[e.U]] = e.V
+			next[e.U]++
+			adj[next[e.V]] = e.U
+			next[e.V]++
+		}
+	}
+	// Sort and dedup every row in place; next[v] becomes v's degree.
+	par.ForBlocksWeighted(p, offsets, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			row := adj[offsets[v]:offsets[v+1]]
+			slices.Sort(row)
+			next[v] = int64(len(slices.Compact(row)))
+		}
 	})
+	// Close the gaps duplicates left. Rows only move left, so one
+	// forward pass compacts in place.
+	w := int64(0)
+	for v := 0; v < n; v++ {
+		lo, d := offsets[v], next[v]
+		offsets[v] = w
+		copy(adj[w:w+d], adj[lo:lo+d])
+		w += d
+	}
+	offsets[n] = w
+	if w < int64(len(adj)) {
+		adj = slices.Clone(adj[:w]) // do not keep the duplicates' slack alive
+	}
 	return &Graph{offsets: offsets, adj: adj}, nil
 }
 

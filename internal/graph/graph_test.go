@@ -192,7 +192,28 @@ func TestRandomGraphInvariants(t *testing.T) {
 		for v := 0; v < n; v++ {
 			sum += int64(g.Degree(uint32(v)))
 		}
-		return sum == g.NumArcs()
+		if sum != g.NumArcs() {
+			return false
+		}
+		// The edge set is exactly the input's, loops and repeats dropped.
+		model := map[Edge]bool{}
+		for _, e := range edges {
+			if e.U > e.V {
+				e.U, e.V = e.V, e.U
+			}
+			if e.U != e.V {
+				model[e] = true
+			}
+		}
+		if g.NumEdges() != int64(len(model)) {
+			return false
+		}
+		for e := range model {
+			if !g.HasEdge(e.U, e.V) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,13 @@
 package jp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/order"
+	"repro/internal/verify"
 )
 
 // TestJPADGDeterministicAcrossProcs asserts the Las Vegas determinism
@@ -50,6 +53,37 @@ func TestJPADGMDeterministicAcrossProcs(t *testing.T) {
 		for v := range base {
 			if got[v] != base[v] {
 				t.Fatalf("p=%d: color of vertex %d differs from p=1", p, v)
+			}
+		}
+	}
+}
+
+// TestJPADGIgnoresSeed pins ADG-O's seed independence: its total
+// positions leave no ties, so JP-ADG colors a graph identically under
+// every seed (the grid case keeps its 2-coloring).
+func TestJPADGIgnoresSeed(t *testing.T) {
+	kron, err := gen.Kronecker(10, 8, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.Grid2D(32, 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"kron": kron, "grid": grid} {
+		run := func(seed uint64) []uint32 {
+			ord := order.ADG(g, order.ADGOptions{Epsilon: 0.01, Procs: 2, Seed: seed, Sorted: true})
+			return Color(g, ord, 2).Colors
+		}
+		base := run(1)
+		for _, seed := range []uint64{2, 99} {
+			if !slices.Equal(run(seed), base) {
+				t.Fatalf("%s: seed %d coloring differs from seed 1", name, seed)
+			}
+		}
+		if name == "grid" {
+			if nc := verify.NumColors(base); nc != 2 {
+				t.Fatalf("grid: JP-ADG used %d colors, want 2", nc)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/sortutil"
-	"repro/internal/xrand"
 )
 
 // ADGOptions configures the approximate-degeneracy-ordering family.
@@ -18,7 +17,11 @@ type ADGOptions struct {
 	Epsilon float64
 	// Procs is the worker count; <= 0 selects GOMAXPROCS.
 	Procs int
-	// Seed drives the random tie-breaking permutation ρ_R.
+	// Seed drives the random tie-breaking permutation ρ_R of ADG and
+	// ADG-M. ADG-O (Sorted) ignores it: its explicit total positions
+	// leave no ties, and vertices of equal residual degree keep
+	// vertex-ID order inside a batch. On a grid that order lets JP-ADG
+	// find the 2-coloring, where random ties (as in JP-R) give 5 colors.
 	Seed uint64
 	// Median selects ADG-M (§V-D): remove the lower half of the degree
 	// distribution each round instead of the (1+ε)·average threshold.
@@ -327,10 +330,11 @@ func adgSorted(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering,
 	if opts.Median {
 		name = "ADG-M-O"
 	}
-	perm := xrand.New(opts.Seed).Perm(n, nil)
+	// pos is already a total order, so no tie is left for a seeded
+	// permutation to break.
 	keys := make([]uint64, n)
 	par.For(p, n, func(v int) {
-		keys[v] = uint64(pos[v])<<32 | uint64(perm[v])
+		keys[v] = uint64(pos[v]) << 32
 	})
 	// Rank here is the fine-grained total position; iteration partitions
 	// (needed only by DEC-ADG) come from the unsorted ADG variant.

@@ -9,8 +9,9 @@
 //
 // where rank is the heuristic's primary value (degree, removal round, …)
 // and tie is a random permutation of 0..n-1 (the paper's ρ = ⟨ρ_X, ρ_R⟩
-// with random tie-breaking, §IV-A). Keys are therefore a collision-free
-// total order and the Jones–Plassmann DAG they induce is acyclic.
+// with random tie-breaking, §IV-A). ADG-O's rank is already a total
+// position, so its tie is 0. Keys are therefore a collision-free total
+// order and the Jones–Plassmann DAG they induce is acyclic.
 // JP colors vertices with larger keys first.
 package order
 

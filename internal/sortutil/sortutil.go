@@ -1,8 +1,8 @@
 // Package sortutil provides the linear-time integer sorts the paper's
 // optimizations rely on: counting sort (used to order the batch R by
-// residual degree, §V-B), LSD radix sort (used for edge-list construction
-// and tried as an alternative R sort, §V-B), and a comparison quicksort
-// fallback — the three algorithms §V-B reports experimenting with.
+// residual degree, §V-B), LSD radix sort (tried as an alternative R sort,
+// §V-B), and a comparison quicksort fallback — the three algorithms §V-B
+// reports experimenting with.
 package sortutil
 
 import (
@@ -137,68 +137,6 @@ func QuickSortByKey(items []uint32, key func(v uint32) int) {
 		}
 		return items[i] < items[j]
 	})
-}
-
-// ParallelRadixSortUint64 sorts keys using p workers: the slice is split
-// into p blocks, each radix-sorted independently, then merged pairwise.
-// For the sizes used in graph building this is a practical parallel sort
-// with O(n log p) merge work.
-func ParallelRadixSortUint64(p int, keys []uint64) {
-	n := len(keys)
-	if n < 1<<12 || p <= 1 {
-		RadixSortUint64(keys)
-		return
-	}
-	if p > 64 {
-		p = 64
-	}
-	chunk := (n + p - 1) / p
-	type block struct{ lo, hi int }
-	var blocks []block
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		blocks = append(blocks, block{lo, hi})
-	}
-	par.For(p, len(blocks), func(i int) {
-		RadixSortUint64(keys[blocks[i].lo:blocks[i].hi])
-	})
-	// Pairwise merge rounds.
-	buf := make([]uint64, n)
-	for len(blocks) > 1 {
-		var next []block
-		pairs := len(blocks) / 2
-		par.For(p, pairs, func(i int) {
-			a, b := blocks[2*i], blocks[2*i+1]
-			mergeUint64(keys[a.lo:a.hi], keys[b.lo:b.hi], buf[a.lo:b.hi])
-			copy(keys[a.lo:b.hi], buf[a.lo:b.hi])
-		})
-		for i := 0; i < pairs; i++ {
-			next = append(next, block{blocks[2*i].lo, blocks[2*i+1].hi})
-		}
-		if len(blocks)%2 == 1 {
-			next = append(next, blocks[len(blocks)-1])
-		}
-		blocks = next
-	}
-}
-
-func mergeUint64(a, b, out []uint64) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(out[k:], a[i:])
-	copy(out[k+len(a)-i:], b[j:])
 }
 
 // IsSortedUint64 reports whether keys is non-decreasing.

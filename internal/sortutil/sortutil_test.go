@@ -176,22 +176,6 @@ func TestQuickSortByKey(t *testing.T) {
 	}
 }
 
-func TestParallelRadixSort(t *testing.T) {
-	for _, p := range []int{1, 2, 4} {
-		for _, n := range []int{0, 1, 100, 1 << 12, 1<<14 + 13} {
-			keys := randKeys(uint64(p*1000+n), n, 0)
-			want := append([]uint64(nil), keys...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			ParallelRadixSortUint64(p, keys)
-			for i := range keys {
-				if keys[i] != want[i] {
-					t.Fatalf("p=%d n=%d mismatch at %d", p, n, i)
-				}
-			}
-		}
-	}
-}
-
 func TestMedian(t *testing.T) {
 	cases := []struct {
 		in   []int32

@@ -22,12 +22,14 @@
 //     whole-graph form, dynamic.ConflictFrontier, re-checks the final
 //     coloring in one edge-balanced parallel pass and drives the
 //     defensive outer loop;
-//  3. repair: dynamic.RepairColors — the localized JP-over-ADG repair
-//     the mutation path uses — recolors exactly the conflict set,
-//     reading only its distance-1 closure, immediately after the
-//     chunk that produced it (so later chunks constrain against
-//     repaired colors and the greedy palette stays tight). One pass
-//     leaves the chunk proper by construction; the outer loop iterates
+//  3. repair: dynamic.RepairColors — the localized repair the
+//     mutation path uses: JP over the conflict-induced subgraph under
+//     its Algorithm 1 ADG ordering, with seeded random ties inside each
+//     removal round — recolors exactly the conflict set, reading only
+//     its distance-1 closure, immediately after the chunk that
+//     produced it (so later chunks constrain against repaired colors
+//     and the greedy palette stays tight). One pass leaves the chunk
+//     proper by construction; the outer loop iterates
 //     defensively under a round cap, falling back to a full JP-ADG
 //     recolor (over the already-computed ordering) if the cap trips or
 //     the conflict set is too large a fraction of the graph for
@@ -52,6 +54,7 @@ package speculate
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/dynamic"
@@ -189,7 +192,13 @@ func ColorContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 	}
 	res.OrderIterations = ord.Iterations
 
-	colors, err := speculateColors(ctx, g, ord, opts, res)
+	// One dense dirty index (-1 = not dirty) for every repair of the
+	// run; RepairColors restores it after each call.
+	slot := make([]int32, n)
+	for v := range slot {
+		slot[v] = -1
+	}
+	colors, err := speculateColors(ctx, g, ord, slot, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -228,11 +237,11 @@ func ColorContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 		res.Conflicts += int64(len(dirty))
 		var repaired, rounds int
 		res.RepairSeconds += timed(func() {
-			repaired, rounds = dynamic.RepairColors(g, colors, dirty,
+			repaired, rounds = dynamic.RepairColors(g, colors, dirty, slot,
 				dynamic.Options{Procs: p, Seed: opts.Seed, Epsilon: opts.Epsilon},
 				// Salt repairs past the chunk range so every repair in the
-				// run draws fresh tie-breaks while the whole run stays a
-				// pure function of the seed.
+				// run draws its own ρ_R tie-breaks while the whole run stays
+				// a pure function of the seed.
 				uint64(opts.SpecChunks+iter)+1)
 		})
 		res.Repaired += repaired
@@ -260,9 +269,13 @@ func ColorContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 // behind joins two vertices of one chunk — so each pass is followed by
 // a within-chunk conflict scan and an immediate localized repair,
 // keeping later chunks constrained by final (repaired) colors. If a
-// chunk's conflict set exceeds the fallback fraction the sweep bails
-// out early and leaves the decision to the caller's outer loop.
-func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, opts Options, res *Result) ([]uint32, error) {
+// chunk's conflict set exceeds the fallback fraction of the WHOLE
+// graph's n, the sweep bails out early and leaves the decision to the
+// caller's outer loop. A chunk holds at most ⌈n/SpecChunks⌉ vertices,
+// so at the default 0.25 fraction the bail-out can fire only when
+// ⌈n/SpecChunks⌉ > n/4, i.e. with about 4 chunks or fewer. slot is the
+// run's dense dirty index for dynamic.RepairColors (all -1).
+func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, slot []int32, opts Options, res *Result) ([]uint32, error) {
 	p := opts.Procs
 	n := g.NumVertices()
 	colors := make([]uint32, n)
@@ -359,11 +372,12 @@ func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, o
 		for i, idx := range dirtyIdx {
 			dirty[i] = chunk[idx]
 		}
+		slices.Sort(dirty) // RepairColors takes the dirty set in vertex order
 		res.RepairRounds++
 		res.Conflicts += int64(len(dirty))
 		var repaired, rounds int
 		res.RepairSeconds += timed(func() {
-			repaired, rounds = dynamic.RepairColors(g, colors, dirty, dOpts, uint64(c)+1)
+			repaired, rounds = dynamic.RepairColors(g, colors, dirty, slot, dOpts, uint64(c)+1)
 		})
 		res.Repaired += repaired
 		res.Rounds += rounds

@@ -227,3 +227,43 @@ func TestQualityTracksJPADG(t *testing.T) {
 		}
 	}
 }
+
+// TestGridRepairStaysShallow is the regression test for the grid
+// pathology: with ties on the conflict subgraph left to vertex-ID
+// order, each chunk's repair DAG chained along grid rows and a
+// 512×512 grid took ~49k rounds. Seeded ADG ties keep every repair a
+// few rounds deep.
+func TestGridRepairStaysShallow(t *testing.T) {
+	g := mustGraph(t)(gen.Grid2D(512, 512, 0))
+	res, err := Color(g, Options{Procs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.CheckProper(g, res.Colors); err != nil {
+		t.Fatal(err)
+	}
+	if res.Fallback || res.Rounds >= 5000 {
+		t.Fatalf("grid 512×512: %d rounds (fallback=%v), want < 5000 without fallback", res.Rounds, res.Fallback)
+	}
+}
+
+// BenchmarkSpecADG times one SPEC-ADG run on a mesh and a skewed graph;
+// go test -bench SpecADG -benchtime 20x ./internal/speculate.
+func BenchmarkSpecADG(b *testing.B) {
+	for _, f := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid512", mustGraph(b)(gen.Grid2D(512, 512, 0))},
+		{"kron15", mustGraph(b)(gen.Kronecker(15, 16, 1, 0))},
+	} {
+		b.Run(f.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Color(f.g, Options{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(f.g.NumArcs()), "ns/arc")
+		})
+	}
+}
